@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Determinism smoke: every parallel sweep binary must emit byte-identical
-# CSV at --threads 1 and --threads 4.
+# CSV at --threads 1 and --threads 4. Where tests/golden/<binary>.csv
+# exists, the --threads 1 CSV must also equal it byte for byte, so a change
+# that shifts every thread count's output alike still fails. The golden
+# files are the CSVs at the smoke_args flags below; regenerate one only for
+# a change that is meant to alter that binary's output.
 #
 # The roster is DERIVED, not maintained: any binary under
 # crates/experiments/src/bin/ that instantiates SweepDriver is picked up
@@ -53,6 +57,10 @@ for name in $(sweep_binaries); do
   "$B/$name" $args --csv --threads 4 > "$name.t4.csv"
   diff "$name.t1.csv" "$name.t4.csv"
   echo "$name: byte-identical across thread counts"
+  if [ -f "tests/golden/$name.csv" ]; then
+    diff "tests/golden/$name.csv" "$name.t1.csv"
+    echo "$name: byte-identical to tests/golden/$name.csv"
+  fi
   rm -f "$name.t1.csv" "$name.t4.csv"
 done
 exit "$status"

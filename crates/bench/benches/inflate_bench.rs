@@ -1,11 +1,15 @@
 //! Equation (3) inflation benches: the PD² fixed point, the M-search of
-//! `pd2_processors_required`, and the quantum-size sweep (ablation E11).
+//! `pd2_processors_required`, the cache-delay draws that feed it, and the
+//! quantum-size sweep (ablation E11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use overhead::{inflate_pd2, pd2_processors_required, OverheadParams};
 use pfair_bench::phys_pairs;
 use pfair_model::PhysTask;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
+use workload::CacheDelayDist;
 
 fn fixed_point(c: &mut Criterion) {
     let params = OverheadParams::paper2003();
@@ -18,16 +22,32 @@ fn fixed_point(c: &mut Criterion) {
 fn processors_required(c: &mut Criterion) {
     let params = OverheadParams::paper2003();
     let mut group = c.benchmark_group("pd2_processors_required");
-    for &n in &[50usize, 250] {
+    for &n in &[50usize, 100, 250] {
         let tasks: Vec<PhysTask> = phys_pairs(n, n as f64 / 5.0, 5)
             .into_iter()
             .map(|(e, p)| PhysTask::new(e, p))
             .collect();
-        let d = vec![33.3; n];
+        // N = 100 is the fig3 shape, with per-task D(T) drawn from the
+        // paper's distribution; the other sizes charge its mean to all.
+        let d = if n == 100 {
+            CacheDelayDist::paper2003().sample_n(&mut StdRng::seed_from_u64(5), n)
+        } else {
+            vec![33.3; n]
+        };
         group.bench_with_input(BenchmarkId::from_parameter(n), &tasks, |b, tasks| {
             b.iter(|| black_box(pd2_processors_required(tasks, &params, &d, 4 * n as u32)));
         });
     }
+    group.finish();
+}
+
+fn cache_delay(c: &mut Criterion) {
+    let dist = CacheDelayDist::paper2003();
+    let mut group = c.benchmark_group("cache_delay_sample_n");
+    group.bench_function(BenchmarkId::from_parameter(100), |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| black_box(dist.sample_n(&mut rng, 100)));
+    });
     group.finish();
 }
 
@@ -67,6 +87,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = fixed_point, processors_required, quantum_sweep
+    targets = fixed_point, processors_required, cache_delay, quantum_sweep
 }
 criterion_main!(benches);

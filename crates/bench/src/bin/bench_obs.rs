@@ -18,6 +18,17 @@
 //!     --out /tmp/fresh.json --metrics driver.point_ns=/tmp/fig3.json
 //! cargo run -p pfair-bench --bin bench_gate -- --prefix driver.point_ns/ ...
 //! ```
+//!
+//! `--machine <text>` stamps every record from `--in` with the machine that
+//! measured it, and `--into <report.json>` starts from an existing report
+//! and replaces only the records this run measured, so one bench file can
+//! refresh its own rows of `BENCH_obs.json`:
+//!
+//! ```text
+//! BENCH_JSON_OUT=/tmp/inflate.jsonl cargo bench -p pfair-bench --bench inflate_bench
+//! cargo run -p pfair-bench --bin bench_obs -- --in /tmp/inflate.jsonl \
+//!     --into BENCH_obs.json --out BENCH_obs.json --machine "$(nproc) x $CPU, rustc 1.95.0"
+//! ```
 
 use pfair_bench::{fold_obs_histogram, BenchReport};
 use std::path::Path;
@@ -54,6 +65,30 @@ fn main() {
     let (mut report, bad) = BenchReport::from_jsonl(&input, &jsonl);
     if bad > 0 {
         eprintln!("warning: skipped {bad} unparseable record line(s)");
+    }
+    let machine = arg_value(&args, "--machine");
+    for record in &mut report.benches {
+        record.machine.clone_from(&machine);
+    }
+    if let Some(base) = arg_value(&args, "--into") {
+        let text = match std::fs::read_to_string(&base) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: cannot read {base}: {e}");
+                std::process::exit(2);
+            }
+        };
+        let mut merged: BenchReport = match serde_json::from_str(&text) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error: {base} is not a bench report: {e}");
+                std::process::exit(2);
+            }
+        };
+        for record in report.benches {
+            merged.upsert(record);
+        }
+        report = merged;
     }
     for spec in arg_values(&args, "--metrics") {
         let Some((hist, path)) = spec.split_once('=') else {

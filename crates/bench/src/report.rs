@@ -11,10 +11,10 @@
 //! cargo run -p pfair-bench --bin bench_obs -- --in /tmp/bench.jsonl
 //! ```
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// One benchmark's measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct BenchRecord {
     /// Benchmark label (`group/function/param`).
     pub name: String,
@@ -22,6 +22,28 @@ pub struct BenchRecord {
     pub ns_per_iter: f64,
     /// Declared elements per iteration (0 when no throughput was set).
     pub throughput_elems: u64,
+    /// The machine that measured this record (CPU model, core count,
+    /// rustc), when the refresh that wrote it named one.
+    pub machine: Option<String>,
+}
+
+/// Written by hand so a record without a machine serializes without a
+/// `"machine": null` field.
+impl Serialize for BenchRecord {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("name".to_string(), self.name.to_value()),
+            ("ns_per_iter".to_string(), self.ns_per_iter.to_value()),
+            (
+                "throughput_elems".to_string(),
+                self.throughput_elems.to_value(),
+            ),
+        ];
+        if let Some(machine) = &self.machine {
+            fields.push(("machine".to_string(), machine.to_value()));
+        }
+        Value::Obj(fields)
+    }
 }
 
 /// The `BENCH_obs.json` document.
@@ -58,6 +80,14 @@ impl BenchReport {
             },
             bad,
         )
+    }
+
+    /// Adds `record`, replacing any record of the same name, and keeps the
+    /// list sorted by name.
+    pub fn upsert(&mut self, record: BenchRecord) {
+        self.benches.retain(|b| b.name != record.name);
+        self.benches.push(record);
+        self.benches.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Pretty JSON rendering.
@@ -166,10 +196,9 @@ pub fn fold_obs_histogram(
         name: format!("{hist}/{label}"),
         ns_per_iter: h.sum as f64 / h.count as f64,
         throughput_elems: h.count,
+        machine: None,
     };
-    report.benches.retain(|b| b.name != record.name);
-    report.benches.push(record.clone());
-    report.benches.sort_by(|a, b| a.name.cmp(&b.name));
+    report.upsert(record.clone());
     Ok(record)
 }
 
@@ -201,6 +230,7 @@ not json
                     name: name.into(),
                     ns_per_iter: ns,
                     throughput_elems: 0,
+                    machine: None,
                 })
                 .collect(),
         }
@@ -293,5 +323,23 @@ not json
         );
         let back: BenchReport = serde_json::from_str(&report.to_json()).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn machine_is_written_only_when_known_and_upsert_replaces_by_name() {
+        let mut rep = report(&[("a", 1.0), ("b", 2.0)]);
+        assert!(!rep.to_json().contains("machine"));
+        rep.upsert(BenchRecord {
+            name: "a".into(),
+            ns_per_iter: 3.0,
+            throughput_elems: 0,
+            machine: Some("2 x Test CPU, rustc 1.0".into()),
+        });
+        assert_eq!(rep.benches.len(), 2);
+        assert_eq!(rep.benches[0].ns_per_iter, 3.0);
+        let json = rep.to_json();
+        assert_eq!(json.matches("\"machine\"").count(), 1, "{json}");
+        let back: BenchReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, rep);
     }
 }

@@ -22,7 +22,7 @@
 //!   quantization at low utilizations, matching the paper's
 //!   starts-near-zero-and-grows shape.
 
-use overhead::{pd2_processors_required, InflateError, OverheadParams};
+use overhead::{pd2_requirement, InflateError, OverheadParams};
 use partition::{
     partition_unbounded_with_obs, Acceptance, EdfOverheadAware, Heuristic, PartitionObs, SortOrder,
 };
@@ -175,16 +175,11 @@ fn run_one_set(
         let u_raw: f64 = set.total_utilization();
 
         // --- PD² ---
-        match pd2_processors_required(&tasks, params, &d, (4 * n) as u32) {
-            Ok(m_pd2) => {
-                let mut u_infl = 0.0;
-                for (t, &dd) in tasks.iter().zip(&d) {
-                    let inf =
-                        overhead::inflate_pd2(*t, params, m_pd2, n, dd).expect("feasible at m_pd2");
-                    u_infl += inf.weight.to_f64();
-                }
-                point.pd2_procs.push(m_pd2 as f64);
-                point.pfair_loss.push((u_infl - u_raw) / m_pd2 as f64);
+        match pd2_requirement(&tasks, params, &d, (4 * n) as u32) {
+            Ok(req) => {
+                let m_pd2 = req.processors as f64;
+                point.pd2_procs.push(m_pd2);
+                point.pfair_loss.push((req.inflated_util - u_raw) / m_pd2);
             }
             // Any inflation failure (Overload or an unexpected variant) is
             // recorded and the sweep continues: one pathological set must

@@ -1,7 +1,7 @@
 //! Execution-cost inflation — the paper's Equation (3).
 
 use crate::model::OverheadParams;
-use pfair_model::{PhysTask, Rat};
+use pfair_model::{PhysTask, Rat, Weight, WeightSum};
 use std::fmt;
 
 /// Failure modes of the PD² inflation.
@@ -93,12 +93,39 @@ pub fn inflate_pd2(
     n: usize,
     d_us: f64,
 ) -> Result<InflatedPd2, InflateError> {
+    let s = params.sched.pd2_us(m, n);
+    let span = pd2_span(task, params, s, d_us)?;
+    Ok(InflatedPd2 {
+        exec_us: span.exec_us,
+        quanta: span.quanta,
+        period_quanta: span.period_quanta,
+        weight: Rat::new(span.quanta as i128, span.period_quanta as i128),
+        iterations: span.iterations,
+    })
+}
+
+/// [`InflatedPd2`] without the `Rat`: what the fixed point itself yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pd2Span {
+    exec_us: f64,
+    quanta: u64,
+    period_quanta: u64,
+    iterations: u32,
+}
+
+/// The fixed point behind [`inflate_pd2`], given `S_PD²` as `s` (µs), so a
+/// caller inflating a whole set at one `M` computes it once.
+fn pd2_span(
+    task: PhysTask,
+    params: &OverheadParams,
+    s: f64,
+    d_us: f64,
+) -> Result<Pd2Span, InflateError> {
     let q = params.quantum_us;
     if q == 0 || task.period_us % q != 0 {
         return Err(InflateError::PeriodNotQuantumMultiple);
     }
     let p_quanta = task.period_us / q;
-    let s = params.sched.pd2_us(m, n);
     let c = params.ctx_switch_us;
     let e = task.wcet_us as f64;
 
@@ -124,24 +151,14 @@ pub fn inflate_pd2(
         }
         let e_prime = cost(quanta);
         let implied = (e_prime.ceil() as u64).div_ceil(q).max(1);
-        if implied == quanta {
-            return Ok(InflatedPd2 {
+        // implied < quanta: cost() is non-monotone in E only through the
+        // preemption term, which can *shrink* as E grows past P/2;
+        // accepting the larger span is the conservative fixed point.
+        if implied <= quanta {
+            return Ok(Pd2Span {
                 exec_us: e_prime,
                 quanta,
                 period_quanta: p_quanta,
-                weight: Rat::new(quanta as i128, p_quanta as i128),
-                iterations,
-            });
-        }
-        if implied < quanta {
-            // cost() is non-monotone in E only through the preemption term,
-            // which can *shrink* as E grows past P/2; accepting the larger
-            // span is the conservative fixed point.
-            return Ok(InflatedPd2 {
-                exec_us: cost(quanta),
-                quanta,
-                period_quanta: p_quanta,
-                weight: Rat::new(quanta as i128, p_quanta as i128),
                 iterations,
             });
         }
@@ -150,6 +167,22 @@ pub fn inflate_pd2(
             return Err(InflateError::NoConvergence);
         }
     }
+}
+
+/// Half-width of the band around `M` inside which [`pd2_requirement`]
+/// re-decides a probe with the exact [`WeightSum`] instead of the `f64`
+/// sum.
+const EXACT_BAND: f64 = 1e-6;
+
+/// What PD² needs for a task set under Equation (3); see
+/// [`pd2_requirement`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pd2Requirement {
+    /// The smallest feasible `M`.
+    pub processors: u32,
+    /// `Σ E/P` at that `M`, summed in task order as `f64` — the same bits
+    /// as adding each task's `inflate_pd2(..).weight.to_f64()`.
+    pub inflated_util: f64,
 }
 
 /// Minimum processors PD² needs for a task set under Equation (3),
@@ -165,33 +198,78 @@ pub fn pd2_processors_required(
     d_us: &[f64],
     max_m: u32,
 ) -> Result<u32, InflateError> {
+    pd2_requirement(tasks, params, d_us, max_m).map(|r| r.processors)
+}
+
+/// [`pd2_processors_required`] together with the inflated utilization at
+/// the `M` it returns.
+///
+/// Each probe of `M` computes `S_PD²(M, n)` once, sums `E/P` over the
+/// tasks in `f64` and compares the sum with `M`. Only a sum within `1e-6`
+/// of `M` is re-decided by the exact [`WeightSum`] (an `i128` rational
+/// that falls back to its own `f64` shadow with slack `1e-7` when it
+/// overflows). Outside that band all three verdicts agree:
+///
+/// * the `f64` sum of `n` correctly rounded quotients, each at most 1, is
+///   within `n²·2⁻⁵³` of the exact sum — about `1e-12` at `n = 100`, and
+///   below the band for any `n` under 9·10⁴ (a larger set widens the band
+///   to `n²·2⁻⁵²`) — so the exact verdict is the `f64` one;
+/// * the shadow is this same `f64` sum, added in the same order, and its
+///   slack `1e-7` is narrower than the band, so the overflow verdict is
+///   the `f64` one too.
+///
+/// The search therefore returns what the all-exact search returns and
+/// pays for rationals only on boundary-tight sets: the same fast key with
+/// an exact fallback as the scheduler's packed priority keys.
+pub fn pd2_requirement(
+    tasks: &[PhysTask],
+    params: &OverheadParams,
+    d_us: &[f64],
+    max_m: u32,
+) -> Result<Pd2Requirement, InflateError> {
     assert_eq!(tasks.len(), d_us.len());
     let n = tasks.len();
     if n == 0 {
-        return Ok(0);
+        return Ok(Pd2Requirement {
+            processors: 0,
+            inflated_util: 0.0,
+        });
     }
     let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
     let mut m = (raw.ceil() as u32).max(1);
-    while m <= max_m {
-        // WeightSum degrades gracefully where an exact rational sum of many
-        // unrelated-denominator weights would overflow.
-        let mut total = pfair_model::WeightSum::new();
-        let mut overloaded = false;
+    let band = EXACT_BAND.max((n * n) as f64 * f64::EPSILON);
+    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(n);
+    'probe: while m <= max_m {
+        let s = params.sched.pd2_us(m, n);
+        spans.clear();
+        let mut total = 0.0;
         for (t, &d) in tasks.iter().zip(d_us) {
-            match inflate_pd2(*t, params, m, n, d) {
-                Ok(inf) => total.add(
-                    pfair_model::Weight::new(inf.quanta, inf.period_quanta)
-                        .expect("0 < E ≤ P guaranteed by inflate_pd2"),
-                ),
+            match pd2_span(*t, params, s, d) {
+                Ok(span) => {
+                    spans.push((span.quanta, span.period_quanta));
+                    total += span.quanta as f64 / span.period_quanta as f64;
+                }
                 Err(InflateError::Overload { .. }) => {
-                    overloaded = true;
-                    break;
+                    m += 1;
+                    continue 'probe;
                 }
                 Err(e) => return Err(e),
             }
         }
-        if !overloaded && total.at_most(m) {
-            return Ok(m);
+        let fits = if (total - f64::from(m)).abs() > band {
+            total <= f64::from(m)
+        } else {
+            let mut exact = WeightSum::new();
+            for &(e, p) in &spans {
+                exact.add(Weight::new(e, p).expect("0 < E ≤ P guaranteed by pd2_span"));
+            }
+            exact.at_most(m)
+        };
+        if fits {
+            return Ok(Pd2Requirement {
+                processors: m,
+                inflated_util: total,
+            });
         }
         m += 1;
     }
@@ -313,6 +391,90 @@ mod tests {
         assert_eq!(pd2_processors_required(&[], &params(), &[], 4), Ok(0));
     }
 
+    #[test]
+    fn exact_fallback_decides_boundary_tight_sum() {
+        // Fifteen tasks of raw utilization 0.18 round up to one quantum in
+        // five: Σ E/P is exactly 3, but the f64 sum lands above it.
+        let p = zero_params();
+        let tasks = vec![PhysTask::new(900, 5_000); 15];
+        let f64_sum = tasks.iter().fold(0.0f64, |acc, _| acc + 1.0 / 5.0);
+        assert!(f64_sum > 3.0, "{f64_sum}");
+        let req = pd2_requirement(&tasks, &p, &[0.0; 15], 64).unwrap();
+        assert_eq!(req.processors, 3);
+        assert_eq!(req.inflated_util.to_bits(), f64_sum.to_bits());
+        assert_eq!(
+            reference_processors_required(&tasks, &p, &[0.0; 15], 64),
+            Ok(3)
+        );
+    }
+
+    #[test]
+    fn requirement_util_is_the_inflate_pd2_sum() {
+        let p = params();
+        let tasks: Vec<PhysTask> = (1..=40)
+            .map(|i| PhysTask::new(137 * i, 1_000 * (10 + i % 7)))
+            .collect();
+        let ds: Vec<f64> = (0..40).map(|i| i as f64 * 2.5).collect();
+        let req = pd2_requirement(&tasks, &p, &ds, 160).unwrap();
+        let mut util = 0.0;
+        for (t, &d) in tasks.iter().zip(&ds) {
+            util += inflate_pd2(*t, &p, req.processors, 40, d)
+                .unwrap()
+                .weight
+                .to_f64();
+        }
+        assert_eq!(req.inflated_util.to_bits(), util.to_bits());
+    }
+
+    /// The M-search as it ran with an exact rational sum on every probe:
+    /// the oracle for [`pd2_requirement`]'s `f64` fast path.
+    fn reference_processors_required(
+        tasks: &[PhysTask],
+        params: &OverheadParams,
+        d_us: &[f64],
+        max_m: u32,
+    ) -> Result<u32, InflateError> {
+        let n = tasks.len();
+        if n == 0 {
+            return Ok(0);
+        }
+        let raw: f64 = tasks.iter().map(PhysTask::utilization).sum();
+        let mut m = (raw.ceil() as u32).max(1);
+        while m <= max_m {
+            let mut total = WeightSum::new();
+            let mut overloaded = false;
+            for (t, &d) in tasks.iter().zip(d_us) {
+                match inflate_pd2(*t, params, m, n, d) {
+                    Ok(inf) => total.add(Weight::new(inf.quanta, inf.period_quanta).unwrap()),
+                    Err(InflateError::Overload { .. }) => {
+                        overloaded = true;
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            if !overloaded && total.at_most(m) {
+                return Ok(m);
+            }
+            m += 1;
+        }
+        Err(InflateError::Overload { inflated_us: 0.0 })
+    }
+
+    /// Zero overheads with a 1 ms quantum: `E/P` is the task's utilization
+    /// rounded up to whole quanta, so small-period sets land exactly on
+    /// integers.
+    fn zero_params() -> OverheadParams {
+        OverheadParams {
+            ctx_switch_us: 0.0,
+            quantum_us: 1_000,
+            sched: SchedCostModel::Constant {
+                edf_us: 0.0,
+                pd2_us: 0.0,
+            },
+        }
+    }
+
     proptest! {
         /// Inflation is monotone: never below the raw cost, and the weight
         /// never below the quantized raw weight.
@@ -346,6 +508,61 @@ mod tests {
                 prop_assert!(b.quanta >= a.quanta);
                 prop_assert!(b.weight >= a.weight);
             }
+        }
+
+        /// The `f64` M-search agrees with the all-exact one on random
+        /// paper-style sets; about one set in eight has a misaligned period.
+        #[test]
+        fn prop_search_matches_exact_reference(
+            raw in prop::collection::vec((1u64..40_000, 2u64..80, 0.0f64..100.0), 1..60),
+            misalign in 0usize..240,
+        ) {
+            let mut tasks: Vec<PhysTask> = raw
+                .iter()
+                .map(|&(e, pq, _)| PhysTask::new(e.min(pq * 1_000), pq * 1_000))
+                .collect();
+            if misalign < tasks.len() {
+                tasks[misalign] = PhysTask::new(100, 1_500);
+            }
+            let ds: Vec<f64> = raw.iter().map(|r| r.2).collect();
+            let max_m = 4 * tasks.len() as u32;
+            for p in [params(), zero_params()] {
+                prop_assert_eq!(
+                    pd2_processors_required(&tasks, &p, &ds, max_m),
+                    reference_processors_required(&tasks, &p, &ds, max_m)
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Boundary-tight sets: zero overheads, WCETs of whole quanta (some
+        /// trimmed by 100 µs, which still span the same quanta) and one
+        /// small period per set, so `Σ E/P` often equals `M` exactly while
+        /// its `f64` sum lands just above (about one set in twenty), and
+        /// only the exact fallback gets `M` right.
+        #[test]
+        fn prop_boundary_tight_sets_match_exact_reference(
+            pq in prop::sample::select(vec![3u64, 5, 6, 10]),
+            raw in prop::collection::vec((0u64..10, 0u64..2), 1..80),
+        ) {
+            let tasks: Vec<PhysTask> = raw
+                .iter()
+                .map(|&(e, trim)| PhysTask::new((1 + e % pq) * 1_000 - trim * 100, pq * 1_000))
+                .collect();
+            let ds = vec![0.0; tasks.len()];
+            let max_m = 4 * tasks.len() as u32;
+            let p = zero_params();
+            let got = pd2_processors_required(&tasks, &p, &ds, max_m);
+            prop_assert_eq!(got, reference_processors_required(&tasks, &p, &ds, max_m));
+            // Zero overheads: ⌈Σ E/P⌉ processors, unless the search starts
+            // above that (it starts at ⌈U⌉ of the raw f64 utilization).
+            let quantized: Rat = raw.iter().map(|&(e, _)| Rat::new(1 + (e % pq) as i128, pq as i128)).sum();
+            let raw_u: f64 = tasks.iter().map(PhysTask::utilization).sum();
+            let start = (raw_u.ceil() as u32).max(1);
+            prop_assert_eq!(got, Ok((quantized.ceil() as u32).max(start)));
         }
     }
 }

@@ -19,6 +19,15 @@
 //! iteration, which the paper observed to converge within about five
 //! rounds.
 //!
+//! [`pd2_processors_required`] (and [`pd2_requirement`], which also
+//! returns the inflated utilization) searches `M` upward from `⌈U⌉`. Each
+//! probe computes `S_PD²(M, N)` once, runs the fixed point without
+//! building rationals, and decides `Σ E/P ≤ M` from an `f64` sum. Only a
+//! sum within `1e-6` of `M` falls back to the exact
+//! [`pfair_model::WeightSum`]; outside that band the `f64` rounding error
+//! (about `1e-12` at `N = 100`) cannot flip the verdict, so the search
+//! returns exactly what an all-rational search returns.
+//!
 //! The per-invocation scheduling costs `S_EDF(N)` and `S_PD²(M, N)` come
 //! from a [`SchedCostModel`]: either the paper's 2002-era measurements
 //! ([`SchedCostModel::paper2003`]) or a linear model calibrated from this
@@ -30,5 +39,8 @@
 pub mod inflate;
 pub mod model;
 
-pub use inflate::{inflate_edf, inflate_pd2, pd2_processors_required, InflateError, InflatedPd2};
+pub use inflate::{
+    inflate_edf, inflate_pd2, pd2_processors_required, pd2_requirement, InflateError, InflatedPd2,
+    Pd2Requirement,
+};
 pub use model::{OverheadParams, SchedCostModel};

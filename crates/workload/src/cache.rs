@@ -48,19 +48,22 @@ impl CacheDelayDist {
             CacheDelayDist::Constant(v) => v,
             CacheDelayDist::Uniform { lo, hi } => rng.gen_range(lo..=hi),
             CacheDelayDist::TruncExp { mean, max } => {
-                let lambda = solve_trunc_exp_rate(mean, max);
-                // Inverse-CDF sampling of Exp(λ) truncated to [0, max]:
-                // F(x) = (1 − e^{−λx})/(1 − e^{−λ·max}).
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let z = 1.0 - u * (1.0 - (-lambda * max).exp());
-                (-z.ln() / lambda).clamp(0.0, max)
+                trunc_exp_draw(rng, solve_trunc_exp_rate(mean, max), max)
             }
         }
     }
 
-    /// Samples `n` delays.
+    /// Samples `n` delays: the same draws as `n` calls to
+    /// [`sample`](Self::sample), bit for bit, but the truncated-exponential
+    /// rate is solved once for the batch instead of once per draw.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        match *self {
+            CacheDelayDist::TruncExp { mean, max } => {
+                let lambda = solve_trunc_exp_rate(mean, max);
+                (0..n).map(|_| trunc_exp_draw(rng, lambda, max)).collect()
+            }
+            _ => (0..n).map(|_| self.sample(rng)).collect(),
+        }
     }
 
     /// The distribution's exact mean (µs).
@@ -80,9 +83,21 @@ fn trunc_exp_mean(lambda: f64, max: f64) -> f64 {
     1.0 / lambda - max * em / (1.0 - em)
 }
 
+/// Inverse-CDF draw from Exp(λ) truncated to `[0, max]`:
+/// `F(x) = (1 − e^{−λx})/(1 − e^{−λ·max})`.
+fn trunc_exp_draw<R: Rng + ?Sized>(rng: &mut R, lambda: f64, max: f64) -> f64 {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let z = 1.0 - u * (1.0 - (-lambda * max).exp());
+    (-z.ln() / lambda).clamp(0.0, max)
+}
+
 /// Solves for the rate λ giving the requested truncated mean by bisection.
 /// Requires `0 < mean < max/2` (above `max/2` the truncated exponential
 /// degenerates toward uniform; the paper's 33.3 < 50 is safely inside).
+///
+/// The bisection stops at the first step that leaves both ends unchanged:
+/// the step is a pure function of `(lo, hi)`, so every later step would be
+/// the same no-op, and λ has the bits the full 200 steps give.
 fn solve_trunc_exp_rate(mean: f64, max: f64) -> f64 {
     assert!(
         mean > 0.0 && mean < max / 2.0,
@@ -92,11 +107,15 @@ fn solve_trunc_exp_rate(mean: f64, max: f64) -> f64 {
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         // trunc_exp_mean is decreasing in λ.
-        if trunc_exp_mean(mid, max) > mean {
-            lo = mid;
+        let next = if trunc_exp_mean(mid, max) > mean {
+            (mid, hi)
         } else {
-            hi = mid;
+            (lo, mid)
+        };
+        if next == (lo, hi) {
+            break;
         }
+        (lo, hi) = next;
     }
     0.5 * (lo + hi)
 }
@@ -105,7 +124,7 @@ fn solve_trunc_exp_rate(mean: f64, max: f64) -> f64 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn trunc_exp_rate_solves_paper_mean() {
@@ -157,6 +176,61 @@ mod tests {
             .filter(|&&x| x < 33.3)
             .count();
         assert!(below as f64 / 50_000.0 > 0.55);
+    }
+
+    /// The bisection as it ran before it stopped early: all 200 steps.
+    fn solve_trunc_exp_rate_200(mean: f64, max: f64) -> f64 {
+        let (mut lo, mut hi) = (1e-9, 1e3);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if trunc_exp_mean(mid, max) > mean {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn early_stop_keeps_the_200_step_rate_bits() {
+        for max in [1.0, 10.0, 50.0, 100.0, 250.0, 1_000.0, 1e5] {
+            for frac in [
+                1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.333, 0.4, 0.45, 0.49, 0.499,
+            ] {
+                let mean = frac * max;
+                assert_eq!(
+                    solve_trunc_exp_rate(mean, max).to_bits(),
+                    solve_trunc_exp_rate_200(mean, max).to_bits(),
+                    "mean {mean} max {max}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sample_n_matches_successive_samples() {
+        let dists = [
+            CacheDelayDist::paper2003(),
+            CacheDelayDist::TruncExp {
+                mean: 5.0,
+                max: 40.0,
+            },
+            CacheDelayDist::Uniform { lo: 0.0, hi: 100.0 },
+            CacheDelayDist::Constant(33.3),
+        ];
+        for (i, d) in dists.iter().enumerate() {
+            for n in [0, 1, 7, 100] {
+                let mut batch_rng = StdRng::seed_from_u64(40 + i as u64);
+                let mut one_rng = StdRng::seed_from_u64(40 + i as u64);
+                let batch = d.sample_n(&mut batch_rng, n);
+                let one: Vec<f64> = (0..n).map(|_| d.sample(&mut one_rng)).collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&batch), bits(&one), "{d:?} n={n}");
+                // Both leave the generator in the same state.
+                assert_eq!(batch_rng.next_u64(), one_rng.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! Layout mirrors a narrow-kernel process split: [`proto`] is the whole
 //! wire schema (flat structs, length-prefixed JSON), [`core`] is the
-//! admission kernel (no I/O), [`server`] owns the socket and threads,
+//! admission kernel (no I/O), [`server`] owns the sockets and the event loop,
 //! [`client`] is what host processes link. `admitctl` and `admitd` are
 //! thin binaries over these.
 

@@ -261,6 +261,20 @@ pub struct StreamMsg {
     pub snapshot: Option<String>,
 }
 
+impl StreamMsg {
+    /// A frame of `kind` about `set` at `slot`; callers fill in the
+    /// payload.
+    pub fn new(kind: StreamKind, slot: u64, set: &str) -> Self {
+        StreamMsg {
+            kind,
+            slot,
+            set: Some(set.to_string()),
+            scheduled: None,
+            snapshot: None,
+        }
+    }
+}
+
 /// Why reading a frame failed, classified — transports and clients act
 /// on the class, not on the underlying `io::ErrorKind` zoo.
 #[derive(Debug)]
@@ -316,8 +330,8 @@ fn is_gone(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// Writes one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
+/// Appends one length-prefixed frame to `buf`.
+pub fn push_frame(buf: &mut Vec<u8>, json: &str) -> io::Result<()> {
     let bytes = json.as_bytes();
     if bytes.len() as u64 > MAX_FRAME as u64 {
         return Err(io::Error::new(
@@ -325,8 +339,18 @@ pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+    buf.reserve(4 + bytes.len());
+    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    buf.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// Writes one length-prefixed frame with a single write: the prefix and
+/// the body leave in one buffer.
+pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
+    let mut buf = Vec::new();
+    push_frame(&mut buf, json)?;
+    w.write_all(&buf)?;
     w.flush()
 }
 

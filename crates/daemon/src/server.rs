@@ -1,40 +1,43 @@
 //! The daemon's transport and batch loop: a [`Listener`] (Unix-domain or
 //! TCP) in front of a [`SetRegistry`] of independent admission cores.
 //!
-//! Threading model: one acceptor thread, one reader thread per
-//! connection, one writer thread per connection, and a single *batch
-//! loop* (the caller's thread) owning every admission core. Readers parse
-//! frames and forward work items over an mpsc channel; the batch loop
-//! drains everything that arrived within the current quantum, decides
-//! each set's batch independently (canonical order *within* a set), and
-//! routes replies back through per-connection channels. No lock is ever
-//! taken around scheduler state — the cores are single-owner by
-//! construction, mirroring the narrow-kernel split the protocol is
+//! Threading model: none. `serve` is one event loop on the caller's
+//! thread. The listener and every connection are nonblocking entries in
+//! a single `poll(2)` set. Each wake reads every frame that arrived,
+//! feeds each request straight into its set's batch, decides each set's
+//! batch independently (canonical order *within* a set), and appends the
+//! replies, already framed, to per-connection output buffers that are
+//! written at once. Only a connection whose write came up short is polled
+//! for writability, so a peer that stops reading delays no one else. No
+//! lock is ever taken around scheduler state — the cores are single-owner
+//! by construction, mirroring the narrow-kernel split the protocol is
 //! designed around.
 //!
 //! Both transports share the length-prefixed JSON framing, the
 //! max-frame-size cap, and an idle-connection timeout: a peer that
 //! stalls mid-frame (half-open TCP connection, SIGKILLed client) is
-//! reaped after [`ServerConfig::idle_timeout`] instead of pinning a
-//! reader thread forever. Subscribed connections are exempt — their
-//! reader exits after the upgrade and liveness is policed by write
-//! failures on the stream.
+//! reaped after [`ServerConfig::idle_timeout`] instead of holding its
+//! connection forever. Subscribed connections are exempt — the daemon
+//! stops reading them after the upgrade, and their liveness is policed
+//! by write failures on the stream.
 //!
 //! Client disconnects are tolerated at every point: a reply or stream
 //! frame that cannot be delivered is dropped (the decision it reported
 //! stands — an admitted task whose client vanished stays admitted until
-//! somebody leaves it), and a reader error just ends that connection.
+//! somebody leaves it), and a read error just ends that connection.
 
 use crate::core::{CoreConfig, SetRegistry, SetReport};
 use crate::proto::{
-    write_frame, FrameError, FrameReader, Op, Reply, Request, Status, StreamKind, StreamMsg,
+    push_frame, FrameError, FrameReader, Op, Reply, Request, Status, StreamKind, StreamMsg,
+    MAX_FRAME,
 };
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::TcpListener;
+use std::os::raw::{c_int, c_short};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// How the daemon advances quantum edges.
@@ -79,7 +82,7 @@ pub struct ServerConfig {
     /// of that set's slots (0 = never).
     pub snapshot_every: u64,
     /// Reap a connection whose peer has been silent this long — a
-    /// stalled half-open TCP peer must not pin a reader thread forever.
+    /// stalled half-open TCP peer must not hold its connection forever.
     /// Subscribed connections are exempt (they are write-only).
     pub idle_timeout: Duration,
     /// Maximum live task-set shards.
@@ -135,94 +138,35 @@ impl RunReport {
 // accept/connect calls.
 // ---------------------------------------------------------------------------
 
-/// One accepted connection. Every method the server needs from a stream,
-/// object-safe so `Box<dyn Conn>` can cross thread spawns.
-pub trait Conn: Read + Write + Send {
-    /// An independently readable/writable handle to the same socket
-    /// (the per-connection writer thread owns the clone).
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// Sets the read timeout (the reader polls in slices of it).
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()>;
-    /// Shuts down both directions, unblocking any peer reads.
-    fn shutdown_conn(&self);
-}
+/// One accepted connection: a nonblocking byte stream with a pollable fd.
+pub trait Conn: Read + Write + AsRawFd {}
 
-impl Conn for UnixStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
-    }
-    fn shutdown_conn(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
+impl<T: Read + Write + AsRawFd> Conn for T {}
 
-impl Conn for TcpStream {
-    fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
-    }
-    fn shutdown_conn(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// A bound, non-blocking accept source.
-pub trait Listener: Send {
-    /// Accepts one pending connection; `WouldBlock` when none is queued
-    /// (the accept loop backs off and re-polls).
+/// A bound, nonblocking accept source.
+pub trait Listener: AsRawFd + Send {
+    /// Accepts one pending connection, already switched to nonblocking
+    /// mode; `WouldBlock` when none is queued.
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>>;
-    /// A clonable handle for the acceptor thread.
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>>;
-    /// Human-readable bound address (`unix:<path>` / `tcp://<addr>`).
-    fn local_label(&self) -> String;
 }
 
 impl Listener for UnixListener {
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>> {
         let (stream, _) = self.accept()?;
-        // The listener is non-blocking; accepted sockets start blocking
-        // with per-read timeouts applied by the reader.
-        stream.set_nonblocking(false)?;
+        stream.set_nonblocking(true)?;
         Ok(Box::new(stream))
-    }
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn local_label(&self) -> String {
-        match self
-            .local_addr()
-            .ok()
-            .and_then(|a| a.as_pathname().map(|p: &Path| p.display().to_string()))
-        {
-            Some(p) => format!("unix:{p}"),
-            None => "unix:?".to_string(),
-        }
     }
 }
 
 impl Listener for TcpListener {
     fn accept_conn(&self) -> io::Result<Box<dyn Conn>> {
         let (stream, _) = self.accept()?;
-        stream.set_nonblocking(false)?;
+        stream.set_nonblocking(true)?;
         // Admission requests are latency-sensitive single frames;
         // Nagling them behind a 40 ms delayed ACK would dwarf the
         // decision latency the daemon is measured on.
         let _ = stream.set_nodelay(true);
         Ok(Box::new(stream))
-    }
-    fn try_clone_listener(&self) -> io::Result<Box<dyn Listener>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn local_label(&self) -> String {
-        match self.local_addr() {
-            Ok(a) => format!("tcp://{a}"),
-            Err(_) => "tcp://?".to_string(),
-        }
     }
 }
 
@@ -265,19 +209,20 @@ pub struct BoundServer {
 /// `set_nonblocking`, which an earlier version silently swallowed — are
 /// surfaced here, before any client can connect.
 pub fn bind(cfg: ServerConfig) -> io::Result<BoundServer> {
-    let (listener, cleanup): (Box<dyn Listener>, Option<PathBuf>) = match &cfg.bind {
+    let (listener, label, cleanup): (Box<dyn Listener>, String, Option<PathBuf>) = match &cfg.bind {
         Bind::Unix(path) => {
             let l = bind_unix(path)?;
             l.set_nonblocking(true)?;
-            (Box::new(l), Some(path.clone()))
+            let label = format!("unix:{}", path.display());
+            (Box::new(l), label, Some(path.clone()))
         }
         Bind::Tcp(addr) => {
             let l = TcpListener::bind(addr.as_str())?;
             l.set_nonblocking(true)?;
-            (Box::new(l), None)
+            let label = format!("tcp://{}", l.local_addr()?);
+            (Box::new(l), label, None)
         }
     };
-    let label = listener.local_label();
     Ok(BoundServer {
         cfg,
         listener,
@@ -308,23 +253,155 @@ pub fn run(cfg: ServerConfig) -> io::Result<RunReport> {
     bind(cfg)?.serve()
 }
 
-/// One parsed request plus the channel its reply goes back on.
-struct WorkItem {
-    req: Request,
-    reply_tx: Sender<String>,
+// ---------------------------------------------------------------------------
+// poll(2), the one readiness call std does not wrap.
+// ---------------------------------------------------------------------------
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: c_short) -> Self {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+#[cfg(target_os = "linux")]
+type Nfds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+/// Blocks until an entry of `fds` is ready or `timeout` (`None`: no
+/// limit) has passed. The timeout rounds *up* to whole milliseconds, so
+/// waiting for a deadline never wakes before it. A signal counts as a
+/// spurious wake.
+fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    let ms = timeout.map_or(-1, |t| {
+        t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+    });
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` pollfd
+    // records, valid for the whole call, and `nfds` is its length.
+    if unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// The event loop.
+// ---------------------------------------------------------------------------
+
+/// Unsent output beyond this many bytes drops the connection, so a peer
+/// that never reads cannot grow the daemon without bound.
+const MAX_BACKLOG: usize = 16 * MAX_FRAME as usize;
+
+/// How long `serve` keeps flushing final acks and `Bye` frames after a
+/// shutdown before it returns anyway.
+const SHUTDOWN_DRAIN: Duration = Duration::from_secs(1);
+
+/// One client connection in the event loop.
+struct Connection {
+    /// Unique for the daemon's lifetime; replies are routed by it, so
+    /// one can never reach a later connection that reuses the fd.
+    id: u64,
+    stream: BufReader<Box<dyn Conn>>,
+    frames: FrameReader,
+    /// Framed replies and stream frames not yet written.
+    out: Vec<u8>,
+    /// When the last complete frame arrived (idle and mid-frame reaping).
+    last_heard: Instant,
+    /// Still reading requests: cleared by EOF, a bad frame, a reap, a
+    /// `Subscribe` upgrade (write-only from then on) or shutdown.
+    reading: bool,
+    /// On some set's subscriber list.
+    subscribed: bool,
+    /// This connection's requests still waiting in a set's batch.
+    awaiting: usize,
+    /// The socket took no more output; wait for `POLLOUT`.
+    blocked: bool,
+    /// The peer is gone or the backlog overflowed: drop this pass.
+    dead: bool,
+}
+
+impl Connection {
+    /// Queues one serialized frame.
+    fn push(&mut self, json: &str) {
+        if push_frame(&mut self.out, json).is_err() || self.out.len() > MAX_BACKLOG {
+            self.dead = true;
+        }
+    }
+
+    fn reply(&mut self, reply: &Reply) {
+        if let Ok(json) = serde_json::to_string(reply) {
+            self.push(&json);
+        }
+    }
+
+    /// Answers with an error and stops reading; the connection closes
+    /// once the reply is written.
+    fn close_with(&mut self, msg: String) {
+        self.reply(&error_reply(0, msg));
+        self.reading = false;
+    }
+
+    /// Writes queued output until it is gone or the socket is full.
+    fn flush(&mut self) {
+        while !self.out.is_empty() && !self.blocked && !self.dead {
+            match self.stream.get_mut().write(&self.out) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    self.out.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.blocked = true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.dead = true,
+            }
+        }
+    }
+
+    /// Nothing left to read, write or wait for: close it.
+    fn finished(&self) -> bool {
+        self.dead
+            || (!self.reading && !self.subscribed && self.awaiting == 0 && self.out.is_empty())
+    }
+}
+
+/// The live connection `id` (connections are kept in id order).
+fn conn_mut(conns: &mut [Connection], id: u64) -> Option<&mut Connection> {
+    let i = conns.binary_search_by_key(&id, |c| c.id).ok()?;
+    Some(&mut conns[i])
 }
 
 /// Per-set connection-facing state, parallel to the registry: where the
 /// current batch's replies go, and who is subscribed to the set's
-/// decision stream.
+/// decision stream (both by connection id).
 #[derive(Default)]
-struct SetChannels {
+struct SetPeers {
     /// `routes[i]` is the connection whose request became the i-th
     /// pending slot of the set's current batch (intake order) —
     /// index-aligned with `AdmissionCore::decided_order`, never keyed on
     /// client-chosen nonces, which can collide across connections.
-    routes: Vec<Sender<String>>,
-    subscribers: Vec<Sender<String>>,
+    routes: Vec<u64>,
+    subscribers: Vec<u64>,
 }
 
 fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
@@ -336,198 +413,200 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
     let batch_size = rec.log2_histogram("daemon.batch_size");
     let decide_ns = rec.timer("daemon.decide_ns");
 
-    let (work_tx, work_rx) = channel::<WorkItem>();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let acceptor = {
-        let work_tx = work_tx.clone();
-        let listener = listener.try_clone_listener()?;
-        let stop = std::sync::Arc::clone(&stop);
-        let idle_timeout = cfg.idle_timeout;
-        // Non-blocking accept poll so shutdown never races a blocked
-        // accept(2). On WouldBlock the loop backs off exponentially
-        // (1 ms → 50 ms) instead of spinning at a fixed short period —
-        // an idle daemon burns ~20 wakeups/s, not hundreds.
-        std::thread::spawn(move || {
-            const BACKOFF_MIN: Duration = Duration::from_millis(1);
-            const BACKOFF_MAX: Duration = Duration::from_millis(50);
-            let mut backoff = BACKOFF_MIN;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                match listener.accept_conn() {
-                    Ok(conn) => {
-                        backoff = BACKOFF_MIN;
-                        spawn_connection(conn, work_tx.clone(), idle_timeout);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_MAX);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-        })
-    };
-    drop(work_tx);
-
     let quantum = Duration::from_micros(cfg.core.params.quantum_us.max(1));
-    let mut chans: BTreeMap<String, SetChannels> = BTreeMap::new();
-    chans.insert(
-        crate::proto::DEFAULT_SET.to_string(),
-        SetChannels::default(),
-    );
+    let mut peers: BTreeMap<String, SetPeers> = BTreeMap::new();
+    peers.insert(crate::proto::DEFAULT_SET.to_string(), SetPeers::default());
+    let mut conns: Vec<Connection> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut next_id = 0u64;
     let mut replies: Vec<Reply> = Vec::new();
-    let mut shutdown_acks: Vec<(u64, Sender<String>)> = Vec::new();
+    // (connection, nonce, set) of each Shutdown request.
+    let mut shutdown_acks: Vec<(u64, u64, String)> = Vec::new();
     // DropSet is deferred past the batch decision so requests already
     // pending in the doomed set still get their replies.
-    let mut drop_requests: Vec<(String, u64, Sender<String>)> = Vec::new();
-    let mut shutting_down = false;
-    let mut disconnected = false;
+    let mut drop_requests: Vec<(String, u64, u64)> = Vec::new();
+    let mut listening = true;
+    let mut drain_until: Option<Instant> = None;
     let mut next_edge = Instant::now() + quantum;
 
-    while !shutting_down {
-        let total_pending: usize = registry.iter_mut().map(|(_, c)| c.pending_len()).sum();
-        if disconnected && total_pending == 0 {
-            break; // acceptor gone and all connections closed
+    loop {
+        // Sleep until a socket is ready, the next real-time edge, the
+        // earliest idle-reap deadline, or the end of the shutdown drain.
+        let mut wake = drain_until.or((cfg.pace == Pace::RealTime).then_some(next_edge));
+        let fd = if listening { listener.as_raw_fd() } else { -1 }; // poll(2) skips fd -1
+        fds.clear();
+        fds.push(PollFd::new(fd, POLLIN));
+        for c in &conns {
+            if !c.subscribed {
+                let reap_at = c.last_heard + cfg.idle_timeout;
+                wake = Some(wake.map_or(reap_at, |w| w.min(reap_at)));
+            }
+            let events = if c.reading { POLLIN } else { 0 } | if c.blocked { POLLOUT } else { 0 };
+            fds.push(PollFd::new(c.stream.get_ref().as_raw_fd(), events));
         }
-        // Returns true when the item was a shutdown request.
-        let mut intake = |item: WorkItem,
-                          registry: &mut SetRegistry,
-                          chans: &mut BTreeMap<String, SetChannels>|
-         -> bool {
-            let set_name = item.req.set_name().to_string();
-            match item.req.op {
-                Op::Join | Op::Leave | Op::Reweight => {
-                    let nonce = item.req.nonce;
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, nonce, &set_name);
-                        return false;
-                    };
-                    let slot = core.slot();
-                    if core.push_request(item.req) {
-                        chans
-                            .get_mut(&set_name)
-                            .expect("chans mirrors registry")
-                            .routes
-                            .push(item.reply_tx);
-                    } else {
-                        refused_full.add(1);
-                        let mut r = Reply::new(nonce, Status::Error, slot);
-                        r.set = Some(set_name);
-                        r.error = Some("batch full; retry next quantum".to_string());
-                        send_reply(&item.reply_tx, &r);
-                    }
-                    false
+        wait(
+            &mut fds,
+            wake.map(|w| w.saturating_duration_since(Instant::now())),
+        )?;
+        let now = Instant::now();
+
+        let mut accepting = fds[0].revents != 0;
+        while accepting {
+            match listener.accept_conn() {
+                Ok(conn) => {
+                    conns.push(Connection {
+                        id: next_id,
+                        stream: BufReader::new(conn),
+                        frames: FrameReader::new(),
+                        out: Vec::new(),
+                        last_heard: now,
+                        reading: true,
+                        subscribed: false,
+                        awaiting: 0,
+                        blocked: false,
+                        dead: false,
+                    });
+                    next_id += 1;
                 }
-                Op::Stats => {
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, item.req.nonce, &set_name);
-                        return false;
-                    };
-                    let mut r = Reply::new(item.req.nonce, Status::Stats, core.slot());
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock ends this round. Any other error ends
+                // accepting: serve the open connections, exit after them.
+                Err(e) => {
+                    listening &= e.kind() == io::ErrorKind::WouldBlock;
+                    accepting = false;
+                }
+            }
+        }
+
+        // Takes one request: admission ops join their set's batch and
+        // are answered when it is decided; everything else is answered
+        // now (or, for DropSet and Shutdown, after this pass's batches).
+        let mut intake = |c: &mut Connection,
+                          req: Request,
+                          registry: &mut SetRegistry,
+                          peers: &mut BTreeMap<String, SetPeers>| {
+            let nonce = req.nonce;
+            let set_name = req.set_name().to_string();
+            if req.op == Op::Subscribe {
+                c.reading = false; // write-only from here on, set or no set
+            }
+            let r = match (req.op, registry.get_mut(&set_name)) {
+                (Op::Join | Op::Leave | Op::Reweight, Some(core)) => {
+                    let slot = core.slot();
+                    if core.push_request(req) {
+                        let set = peers.get_mut(&set_name).expect("peers mirrors registry");
+                        set.routes.push(c.id);
+                        c.awaiting += 1;
+                        return;
+                    }
+                    refused_full.add(1);
+                    let r = error_reply(nonce, "batch full; retry next quantum");
+                    Reply {
+                        slot,
+                        set: Some(set_name),
+                        ..r
+                    }
+                }
+                (Op::Stats, Some(core)) => {
+                    let mut r = Reply::new(nonce, Status::Stats, core.slot());
                     r.task_count = Some(core.task_count() as u64);
                     r.weight_ppm = Some(core.weight_ppm());
                     r.set = Some(set_name);
                     r.sets = Some(registry.names());
                     r.snapshot = Some(rec.snapshot().to_json());
-                    send_reply(&item.reply_tx, &r);
-                    false
+                    r
                 }
-                Op::Subscribe => {
-                    let Some(core) = registry.get_mut(&set_name) else {
-                        send_no_such_set(&item.reply_tx, item.req.nonce, &set_name);
-                        return false;
-                    };
-                    let mut r = Reply::new(item.req.nonce, Status::Subscribed, core.slot());
-                    r.set = Some(set_name.clone());
-                    send_reply(&item.reply_tx, &r);
-                    chans
-                        .get_mut(&set_name)
-                        .expect("chans mirrors registry")
-                        .subscribers
-                        .push(item.reply_tx);
-                    false
+                (Op::Subscribe, Some(core)) => {
+                    let r = Reply::new(nonce, Status::Subscribed, core.slot());
+                    let set = peers.get_mut(&set_name).expect("peers mirrors registry");
+                    set.subscribers.push(c.id);
+                    c.subscribed = true;
+                    Reply {
+                        set: Some(set_name),
+                        ..r
+                    }
                 }
-                Op::CreateSet => {
-                    let nonce = item.req.nonce;
-                    let r = match item.req.set.as_deref() {
-                        None => {
-                            let mut r = Reply::new(nonce, Status::Error, 0);
-                            r.error = Some("create_set requires an explicit `set`".to_string());
-                            r
-                        }
-                        Some(name) => match registry.create(name) {
+                (Op::Join | Op::Leave | Op::Reweight | Op::Stats | Op::Subscribe, None) => {
+                    no_such_set(nonce, &set_name)
+                }
+                (Op::CreateSet, _) => match req.set {
+                    None => error_reply(nonce, "create_set requires an explicit `set`"),
+                    Some(name) => {
+                        let r = match registry.create(&name) {
                             Ok(()) => {
-                                chans.insert(name.to_string(), SetChannels::default());
+                                peers.insert(name.clone(), SetPeers::default());
                                 let mut r = Reply::new(nonce, Status::SetCreated, 0);
-                                r.set = Some(name.to_string());
                                 r.sets = Some(registry.names());
                                 r
                             }
-                            Err(e) => {
-                                let mut r = Reply::new(nonce, Status::Error, 0);
-                                r.set = Some(name.to_string());
-                                r.error = Some(e);
-                                r
-                            }
-                        },
-                    };
-                    send_reply(&item.reply_tx, &r);
-                    false
-                }
-                Op::DropSet => {
-                    match item.req.set.as_deref() {
-                        None => {
-                            let mut r = Reply::new(item.req.nonce, Status::Error, 0);
-                            r.error = Some("drop_set requires an explicit `set`".to_string());
-                            send_reply(&item.reply_tx, &r);
-                        }
-                        Some(name) => {
-                            drop_requests.push((name.to_string(), item.req.nonce, item.reply_tx));
+                            Err(e) => error_reply(nonce, e),
+                        };
+                        Reply {
+                            set: Some(name),
+                            ..r
                         }
                     }
-                    false
-                }
-                Op::ListSets => {
-                    let mut r = Reply::new(item.req.nonce, Status::SetList, 0);
-                    r.sets = Some(registry.names());
-                    send_reply(&item.reply_tx, &r);
-                    false
-                }
-                Op::Shutdown => {
-                    shutdown_acks.push((item.req.nonce, item.reply_tx));
-                    true
-                }
-            }
+                },
+                (Op::DropSet, _) => match req.set {
+                    None => error_reply(nonce, "drop_set requires an explicit `set`"),
+                    Some(name) => return drop_requests.push((name, nonce, c.id)),
+                },
+                (Op::ListSets, _) => Reply {
+                    sets: Some(registry.names()),
+                    ..Reply::new(nonce, Status::SetList, 0)
+                },
+                (Op::Shutdown, _) => return shutdown_acks.push((c.id, nonce, set_name)),
+            };
+            c.reply(&r);
         };
-        // Gather one quantum's batch. Virtual pace blocks for the first
-        // item and takes whatever else already arrived; real-time pace
-        // accumulates arrivals until the absolute quantum edge is
-        // reached, so sustained traffic cannot advance slots faster than
-        // wall time.
-        match cfg.pace {
-            Pace::Virtual => {
-                match work_rx.recv() {
-                    Ok(item) => shutting_down |= intake(item, &mut registry, &mut chans),
-                    Err(_) => disconnected = true,
-                }
-                while let Ok(item) = work_rx.try_recv() {
-                    shutting_down |= intake(item, &mut registry, &mut chans);
+
+        // Read every complete frame, straight into its set's batch, and
+        // reap connections silent past the idle timeout.
+        for (c, fd) in conns.iter_mut().zip(&fds[1..]) {
+            if fd.revents & !POLLIN != 0 {
+                c.blocked = false; // writable, or an error the next write reports
+            }
+            if !c.reading && fd.revents & !POLLOUT != 0 {
+                c.dead = true; // hang-up or error on a write-only socket
+            }
+            while c.reading && fd.revents != 0 {
+                match c.frames.poll(&mut c.stream) {
+                    Ok(Some(frame)) => {
+                        c.last_heard = now;
+                        match serde_json::from_str::<Request>(&frame) {
+                            Ok(req) => intake(c, req, &mut registry, &mut peers),
+                            Err(e) => c.close_with(format!("unparsable request: {e}")),
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(FrameError::Malformed(m)) => c.close_with(format!("malformed frame: {m}")),
+                    Err(_) => c.reading = false, // Closed / Disconnected / hard I/O error
                 }
             }
-            Pace::RealTime => {
-                while !shutting_down && !disconnected {
-                    let now = Instant::now();
-                    if now >= next_edge {
-                        break;
-                    }
-                    match work_rx.recv_timeout(next_edge - now) {
-                        Ok(item) => shutting_down |= intake(item, &mut registry, &mut chans),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                    }
+            if !c.subscribed && now >= c.last_heard + cfg.idle_timeout {
+                if c.reading {
+                    let why = if c.frames.mid_frame() {
+                        "stalled mid-frame"
+                    } else {
+                        "idle too long"
+                    };
+                    c.close_with(format!("connection {why}; closing"));
+                    c.last_heard = now; // one more timeout to deliver that
+                } else {
+                    c.dead = true;
                 }
+            }
+        }
+
+        // Decide each set's batch independently. Virtual pace steps only
+        // the sets with pending work (at every wake); real-time pace
+        // steps every set at every wall-clock edge, and a shutdown
+        // forces one final edge so pending replies drain.
+        let shutting_down = !shutdown_acks.is_empty();
+        let edge = cfg.pace == Pace::Virtual || shutting_down || now >= next_edge;
+        if edge && drain_until.is_none() {
+            if cfg.pace == Pace::RealTime {
                 next_edge += quantum;
-                let now = Instant::now();
                 if next_edge < now {
                     // Deciding the previous batch overran the quantum (or
                     // the host stalled): re-anchor instead of bursting
@@ -535,114 +614,106 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
                     next_edge = now + quantum;
                 }
             }
-        }
-
-        // Decide each set's batch independently. Virtual pace steps only
-        // the sets with pending work (plus everyone on shutdown, so
-        // final replies drain); real-time pace steps every set at every
-        // wall-clock edge.
-        for (name, core) in registry.iter_mut() {
-            let pending = core.pending_len();
-            if pending == 0 && cfg.pace == Pace::Virtual {
-                continue;
-            }
-            let ch = chans.get_mut(name).expect("chans mirrors registry");
-            batches.add(1);
-            batched_requests.add(pending as u64);
-            batch_size.record(pending as u64);
-            replies.clear();
-            let span = decide_ns.start();
-            let decided_at = core.decide_batch(&mut replies);
-            drop(span);
-
-            // Replies come back in canonical order; `decided_order()[k]`
-            // is the intake index of the request `replies[k]` answered,
-            // which indexes straight into this set's routes. Routing is
-            // therefore by connection, never by the client-chosen nonce —
-            // two clients with colliding nonces in one batch each still
-            // get their own reply.
-            let order = core.decided_order();
-            debug_assert_eq!(order.len(), replies.len());
-            for (k, reply) in replies.iter_mut().enumerate() {
-                if let Some(tx) = order.get(k).and_then(|&i| ch.routes.get(i as usize)) {
-                    reply.set = Some(name.to_string());
-                    send_reply(tx, reply);
+            for (name, core) in registry.iter_mut() {
+                let pending = core.pending_len();
+                if pending == 0 && cfg.pace == Pace::Virtual {
+                    continue;
                 }
-            }
-            ch.routes.clear();
+                let set = peers.get_mut(name).expect("peers mirrors registry");
+                batches.add(1);
+                batched_requests.add(pending as u64);
+                batch_size.record(pending as u64);
+                replies.clear();
+                let span = decide_ns.start();
+                let decided_at = core.decide_batch(&mut replies);
+                drop(span);
 
-            // Stream the set's decision (and periodic snapshots).
-            if !ch.subscribers.is_empty() {
-                let msg = StreamMsg {
-                    kind: StreamKind::Decision,
-                    slot: decided_at,
-                    set: Some(name.to_string()),
-                    scheduled: Some(core.last_chosen().iter().map(|id| id.0).collect()),
-                    snapshot: None,
-                };
-                broadcast(&mut ch.subscribers, &msg);
-                if cfg.snapshot_every > 0 && decided_at % cfg.snapshot_every == 0 {
-                    let msg = StreamMsg {
-                        kind: StreamKind::Snapshot,
-                        slot: decided_at,
-                        set: Some(name.to_string()),
-                        scheduled: None,
-                        snapshot: Some(rec.snapshot().to_json()),
-                    };
-                    broadcast(&mut ch.subscribers, &msg);
-                }
-            }
-        }
-
-        // Deferred set drops: the doomed set's batch was just decided,
-        // so every pending reply has been routed. Subscribers of the
-        // dropped set get a Bye.
-        for (name, nonce, tx) in drop_requests.drain(..) {
-            match registry.drop_set(&name) {
-                Ok(()) => {
-                    if let Some(mut ch) = chans.remove(&name) {
-                        let bye = StreamMsg {
-                            kind: StreamKind::Bye,
-                            slot: 0,
-                            set: Some(name.clone()),
-                            scheduled: None,
-                            snapshot: None,
-                        };
-                        broadcast(&mut ch.subscribers, &bye);
+                // Replies come back in canonical order; `decided_order()[k]`
+                // is the intake index of the request `replies[k]` answered,
+                // which indexes straight into this set's routes. Routing is
+                // therefore by connection, never by the client-chosen nonce —
+                // two clients with colliding nonces in one batch each still
+                // get their own reply.
+                let order = core.decided_order();
+                debug_assert_eq!(order.len(), replies.len());
+                for (k, reply) in replies.iter_mut().enumerate() {
+                    let route = order.get(k).and_then(|&i| set.routes.get(i as usize));
+                    if let Some(c) = route.and_then(|&id| conn_mut(&mut conns, id)) {
+                        c.awaiting -= 1;
+                        reply.set = Some(name.to_string());
+                        c.reply(reply);
                     }
-                    let mut r = Reply::new(nonce, Status::SetDropped, 0);
-                    r.set = Some(name);
-                    r.sets = Some(registry.names());
-                    send_reply(&tx, &r);
                 }
-                Err(e) => {
-                    let mut r = Reply::new(nonce, Status::Error, 0);
-                    r.set = Some(name);
-                    r.error = Some(e);
-                    send_reply(&tx, &r);
+                set.routes.clear();
+
+                // Stream the set's decision (and periodic snapshots).
+                if !set.subscribers.is_empty() {
+                    let msg = StreamMsg {
+                        scheduled: Some(core.last_chosen().iter().map(|id| id.0).collect()),
+                        ..StreamMsg::new(StreamKind::Decision, decided_at, name)
+                    };
+                    broadcast(&mut conns, &mut set.subscribers, &msg);
+                    if cfg.snapshot_every > 0 && decided_at % cfg.snapshot_every == 0 {
+                        let msg = StreamMsg {
+                            snapshot: Some(rec.snapshot().to_json()),
+                            ..StreamMsg::new(StreamKind::Snapshot, decided_at, name)
+                        };
+                        broadcast(&mut conns, &mut set.subscribers, &msg);
+                    }
+                }
+            }
+
+            // Deferred set drops: the doomed set's batch was just decided,
+            // so every pending reply has been routed. Subscribers of the
+            // dropped set get a Bye.
+            for (name, nonce, id) in drop_requests.drain(..) {
+                let r = match registry.drop_set(&name) {
+                    Ok(()) => {
+                        if let Some(mut set) = peers.remove(&name) {
+                            say_bye(&mut conns, &name, &mut set.subscribers);
+                        }
+                        let mut r = Reply::new(nonce, Status::SetDropped, 0);
+                        r.sets = Some(registry.names());
+                        r
+                    }
+                    Err(e) => error_reply(nonce, e),
+                };
+                if let Some(c) = conn_mut(&mut conns, id) {
+                    c.reply(&Reply {
+                        set: Some(name),
+                        ..r
+                    });
                 }
             }
         }
-    }
 
-    // Clean shutdown: acknowledge, say goodbye to every set's
-    // subscribers, stop the acceptor.
-    for (nonce, tx) in shutdown_acks.drain(..) {
-        send_reply(&tx, &Reply::new(nonce, Status::ShuttingDown, 0));
+        // Clean shutdown: acknowledge with the named set's slot, say
+        // goodbye to every set's subscribers, stop reading, and give the
+        // final frames a bounded time to drain.
+        if shutting_down {
+            for (id, nonce, set) in shutdown_acks.drain(..) {
+                let slot = registry.get_mut(&set).map_or(0, |core| core.slot());
+                if let Some(c) = conn_mut(&mut conns, id) {
+                    c.reply(&Reply {
+                        set: Some(set),
+                        ..Reply::new(nonce, Status::ShuttingDown, slot)
+                    });
+                }
+            }
+            for (name, set) in peers.iter_mut() {
+                say_bye(&mut conns, name, &mut set.subscribers);
+            }
+            conns.iter_mut().for_each(|c| c.reading = false);
+            listening = false;
+            drain_until = Some(now + SHUTDOWN_DRAIN);
+        }
+
+        conns.iter_mut().for_each(Connection::flush);
+        conns.retain(|c| !c.finished());
+        if !listening && conns.is_empty() || drain_until.is_some_and(|t| now >= t) {
+            break;
+        }
     }
-    for (name, ch) in chans.iter_mut() {
-        let bye = StreamMsg {
-            kind: StreamKind::Bye,
-            slot: 0,
-            set: Some(name.clone()),
-            scheduled: None,
-            snapshot: None,
-        };
-        broadcast(&mut ch.subscribers, &bye);
-        ch.subscribers.clear();
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = acceptor.join();
 
     Ok(RunReport {
         sets: registry.into_reports(),
@@ -650,126 +721,42 @@ fn serve(cfg: &ServerConfig, listener: &dyn Listener) -> io::Result<RunReport> {
     })
 }
 
-/// Serializes and sends one reply; delivery failure means the client is
-/// gone, which is not the daemon's problem.
-fn send_reply(tx: &Sender<String>, reply: &Reply) {
-    if let Ok(json) = serde_json::to_string(reply) {
-        let _ = tx.send(json);
-    }
+/// An error reply carrying `msg`.
+fn error_reply(nonce: u64, msg: impl Into<String>) -> Reply {
+    let mut r = Reply::new(nonce, Status::Error, 0);
+    r.error = Some(msg.into());
+    r
 }
 
 /// Error reply for a request naming an unknown set.
-fn send_no_such_set(tx: &Sender<String>, nonce: u64, set: &str) {
-    let mut r = Reply::new(nonce, Status::Error, 0);
+fn no_such_set(nonce: u64, set: &str) -> Reply {
+    let mut r = error_reply(nonce, format!("no such set `{set}` (create_set first)"));
     r.set = Some(set.to_string());
-    r.error = Some(format!("no such set `{set}` (create_set first)"));
-    send_reply(tx, &r);
+    r
 }
 
-/// Broadcasts a stream frame, dropping subscribers whose connection died.
-fn broadcast(subscribers: &mut Vec<Sender<String>>, msg: &StreamMsg) {
+/// Queues a stream frame for every subscriber, dropping subscribers
+/// whose connection is gone.
+fn broadcast(conns: &mut [Connection], subscribers: &mut Vec<u64>, msg: &StreamMsg) {
     let Ok(json) = serde_json::to_string(msg) else {
         return;
     };
-    subscribers.retain(|tx| tx.send(json.clone()).is_ok());
-}
-
-/// Spawns the reader + writer threads for one accepted connection.
-fn spawn_connection(conn: Box<dyn Conn>, work_tx: Sender<WorkItem>, idle_timeout: Duration) {
-    let Ok(write_half) = conn.try_clone_conn() else {
-        return;
-    };
-    let (reply_tx, reply_rx) = channel::<String>();
-    std::thread::spawn(move || writer_loop(write_half, reply_rx));
-    std::thread::spawn(move || reader_loop(conn, work_tx, reply_tx, idle_timeout));
-}
-
-/// Forwards reply/stream frames to the socket until the channel closes
-/// (all senders dropped) or the peer disappears.
-fn writer_loop(mut conn: Box<dyn Conn>, reply_rx: Receiver<String>) {
-    for json in reply_rx {
-        if write_frame(&mut conn, &json).is_err() {
-            break;
+    subscribers.retain(|&id| match conn_mut(conns, id) {
+        Some(c) if !c.dead => {
+            c.push(&json);
+            true
         }
-    }
-    conn.shutdown_conn();
+        _ => false,
+    });
 }
 
-/// Parses request frames and forwards them to the batch loop.
-///
-/// Reads are sliced by a short socket timeout so the loop can track how
-/// long the peer has been silent; a connection idle (or stalled
-/// mid-frame) past `idle_timeout` is shut down — a half-open TCP peer
-/// costs one reader thread for at most the timeout, never forever. A
-/// malformed frame (oversized length prefix, non-UTF-8 payload) is
-/// answered best-effort and closes *this* connection only; EOF just ends
-/// it. A `Subscribe` upgrade ends the reader too: the connection becomes
-/// write-only and its liveness is policed by stream-write failures.
-///
-/// The reader never shuts the socket down itself: exiting drops its
-/// reply sender, the writer drains whatever is still queued (the
-/// best-effort error reply included), and the *writer* closes the
-/// connection — otherwise the close races the final frame.
-fn reader_loop(
-    mut conn: Box<dyn Conn>,
-    work_tx: Sender<WorkItem>,
-    reply_tx: Sender<String>,
-    idle_timeout: Duration,
-) {
-    const SLICE: Duration = Duration::from_millis(100);
-    if conn.set_read_timeout_conn(Some(SLICE)).is_err() {
-        return;
-    }
-    let mut reader = FrameReader::new();
-    let mut silent = Duration::ZERO;
-    loop {
-        match reader.poll(&mut conn) {
-            Ok(Some(frame)) => {
-                silent = Duration::ZERO;
-                let req: Request = match serde_json::from_str(&frame) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let mut r = Reply::new(0, Status::Error, 0);
-                        r.error = Some(format!("unparsable request: {e}"));
-                        send_reply(&reply_tx, &r);
-                        break;
-                    }
-                };
-                let subscribe = req.op == Op::Subscribe;
-                let item = WorkItem {
-                    req,
-                    reply_tx: reply_tx.clone(),
-                };
-                if work_tx.send(item).is_err() {
-                    break; // batch loop has shut down
-                }
-                if subscribe {
-                    // Write-only from here on; do NOT shut the socket
-                    // down — the writer owns it now.
-                    return;
-                }
-            }
-            Ok(None) => {
-                // A would-block slice elapsed with no progress.
-                silent += SLICE;
-                if silent >= idle_timeout {
-                    let mut r = Reply::new(0, Status::Error, 0);
-                    r.error = Some(if reader.mid_frame() {
-                        "connection stalled mid-frame; closing".to_string()
-                    } else {
-                        "connection idle too long; closing".to_string()
-                    });
-                    send_reply(&reply_tx, &r);
-                    break;
-                }
-            }
-            Err(FrameError::Malformed(m)) => {
-                let mut r = Reply::new(0, Status::Error, 0);
-                r.error = Some(format!("malformed frame: {m}"));
-                send_reply(&reply_tx, &r);
-                break;
-            }
-            Err(_) => break, // Closed / Disconnected / hard I/O error
+/// Sends `set`'s subscribers a final `Bye` and unsubscribes them; each
+/// connection closes once its output is written.
+fn say_bye(conns: &mut [Connection], set: &str, subscribers: &mut Vec<u64>) {
+    broadcast(conns, subscribers, &StreamMsg::new(StreamKind::Bye, 0, set));
+    for id in subscribers.drain(..) {
+        if let Some(c) = conn_mut(conns, id) {
+            c.subscribed = false;
         }
     }
 }

@@ -20,9 +20,12 @@
 //! `--set <name>` aims every request at that task-set shard.
 //!
 //! Open-loop: up to `--window` requests are kept in flight regardless of
-//! replies. Exit code 1 if the daemon dies mid-run; a summary of
-//! admitted/rejected/left plus reply-latency percentiles prints at the
-//! end.
+//! replies. A task whose leave is in flight is no longer a leave
+//! candidate, so no task is ever sent two leaves. After the `--requests`
+//! stream, every task still held is left (the cleanup leaves are counted
+//! apart from the stream), so a run leaves the set as it found it. Exit
+//! code 1 if the daemon dies mid-run; a summary of admitted/rejected/left
+//! plus reply-latency percentiles prints at the end.
 
 use daemon::client::{ClientError, DaemonAddr, DaemonClient};
 use daemon::proto::{Reply, Request, Status};
@@ -76,45 +79,12 @@ fn main() {
     });
 
     let mut rng = StdRng::seed_from_u64(seed);
+    // Admitted tasks with no leave in flight: the leave candidates.
     let mut active: Vec<u32> = Vec::new();
-    let mut inflight: Vec<(u64, Instant)> = Vec::new();
+    let mut inflight: Inflight = Vec::new();
     let mut latencies_us: Vec<u64> = Vec::with_capacity(requests as usize);
-    let (mut admitted, mut rejected, mut left, mut errors) = (0u64, 0u64, 0u64, 0u64);
+    let mut tally = Tally::default();
     let started = Instant::now();
-
-    let mut drain = |client: &mut DaemonClient,
-                     inflight: &mut Vec<(u64, Instant)>,
-                     active: &mut Vec<u32>,
-                     latencies_us: &mut Vec<u64>,
-                     down_to: usize|
-     -> Result<(), ClientError> {
-        while inflight.len() > down_to {
-            let reply: Reply = client.recv()?;
-            if let Some(pos) = inflight.iter().position(|(n, _)| *n == reply.nonce) {
-                let (_, sent) = inflight.swap_remove(pos);
-                latencies_us.push(sent.elapsed().as_micros() as u64);
-            }
-            match reply.status {
-                Status::Admitted => {
-                    admitted += 1;
-                    if let Some(id) = reply.task {
-                        active.push(id);
-                    }
-                }
-                Status::Rejected => rejected += 1,
-                Status::Left => {
-                    left += 1;
-                    if let Some(id) = reply.task {
-                        if let Some(pos) = active.iter().position(|&a| a == id) {
-                            active.swap_remove(pos);
-                        }
-                    }
-                }
-                _ => errors += 1,
-            }
-        }
-        Ok(())
-    };
 
     let result = (|| -> Result<(), ClientError> {
         for k in 0..requests {
@@ -124,15 +94,18 @@ fn main() {
                 &mut inflight,
                 &mut active,
                 &mut latencies_us,
+                &mut tally,
                 window - 1,
             )?;
 
             let nonce = client.take_nonce();
+            let mut victim = None;
             let mut req = if !active.is_empty()
                 && (active.len() >= max_active || rng.gen_range(0.0..1.0) < 0.45)
             {
-                let victim = active[rng.gen_range(0..active.len())];
-                Request::leave(nonce, victim)
+                let id = active.swap_remove(rng.gen_range(0..active.len()));
+                victim = Some(id);
+                Request::leave(nonce, id)
             } else {
                 let period = periods[rng.gen_range(0..periods.len())];
                 // Per-task utilization in [1%, 12%]: heavy enough that a
@@ -144,7 +117,7 @@ fn main() {
                 req = req.with_set(s);
             }
             client.send(&req)?;
-            inflight.push((nonce, Instant::now()));
+            inflight.push((nonce, Instant::now(), victim));
 
             // Burst shaping: inside a burst-delayed job the next request
             // follows immediately; otherwise yield so the daemon's
@@ -159,16 +132,49 @@ fn main() {
             &mut inflight,
             &mut active,
             &mut latencies_us,
+            &mut tally,
             0,
         )
     })();
+    let elapsed = started.elapsed();
+
+    // Cleanup: leave every task still held, pipelined like the stream.
+    // These replies are tallied apart and add no latencies.
+    let mut cleanup = Tally::default();
+    let result = result.and_then(|()| {
+        let mut unused_latencies = Vec::new();
+        for id in std::mem::take(&mut active) {
+            drain(
+                &mut client,
+                &mut inflight,
+                &mut active,
+                &mut unused_latencies,
+                &mut cleanup,
+                window - 1,
+            )?;
+            let nonce = client.take_nonce();
+            let mut req = Request::leave(nonce, id);
+            if let Some(s) = set {
+                req = req.with_set(s);
+            }
+            client.send(&req)?;
+            inflight.push((nonce, Instant::now(), Some(id)));
+        }
+        drain(
+            &mut client,
+            &mut inflight,
+            &mut active,
+            &mut unused_latencies,
+            &mut cleanup,
+            0,
+        )
+    });
 
     if let Err(e) = result {
         eprintln!("admitload: daemon connection failed mid-run: {e}");
         std::process::exit(1);
     }
 
-    let elapsed = started.elapsed();
     latencies_us.sort_unstable();
     let pct = |p: f64| -> u64 {
         if latencies_us.is_empty() {
@@ -178,14 +184,67 @@ fn main() {
         latencies_us[idx]
     };
     println!(
-        "admitload: {requests} requests in {:.2}s ({:.0} req/s): {admitted} admitted, \
-         {rejected} rejected, {left} left, {errors} errors; reply latency p50={}µs \
-         p99={}µs max={}µs; {} still active",
+        "admitload: {requests} requests in {:.2}s ({:.0} req/s): {} admitted, \
+         {} rejected, {} left, {} errors; reply latency p50={}µs p99={}µs max={}µs; \
+         cleanup: {} left, {} errors; {} still active",
         elapsed.as_secs_f64(),
         requests as f64 / elapsed.as_secs_f64(),
+        tally.admitted,
+        tally.rejected,
+        tally.left,
+        tally.errors,
         pct(0.50),
         pct(0.99),
         pct(1.0),
+        cleanup.left,
+        cleanup.errors,
         active.len(),
     );
+}
+
+/// Requests in flight: (nonce, send time, the task a leave names).
+type Inflight = Vec<(u64, Instant, Option<u32>)>;
+
+/// Reply counts of one phase of the run.
+#[derive(Default)]
+struct Tally {
+    admitted: u64,
+    rejected: u64,
+    left: u64,
+    errors: u64,
+}
+
+/// Reads replies until at most `down_to` requests are in flight. An
+/// admitted task becomes a leave candidate; a refused leave puts its task
+/// back among them.
+fn drain(
+    client: &mut DaemonClient,
+    inflight: &mut Inflight,
+    active: &mut Vec<u32>,
+    latencies_us: &mut Vec<u64>,
+    tally: &mut Tally,
+    down_to: usize,
+) -> Result<(), ClientError> {
+    while inflight.len() > down_to {
+        let reply: Reply = client.recv()?;
+        let mut leaving = None;
+        if let Some(pos) = inflight.iter().position(|(n, ..)| *n == reply.nonce) {
+            let (_, sent, victim) = inflight.swap_remove(pos);
+            latencies_us.push(sent.elapsed().as_micros() as u64);
+            leaving = victim;
+        }
+        match reply.status {
+            Status::Admitted => {
+                tally.admitted += 1;
+                active.extend(reply.task);
+            }
+            Status::Rejected => tally.rejected += 1,
+            Status::Left => tally.left += 1,
+            _ => {
+                tally.errors += 1;
+                active.extend(leaving);
+            }
+        }
+    }
+    Ok(())
 }

@@ -183,7 +183,13 @@ fn protocol_paths_over_the_socket() {
     let r = client.leave(4_242).expect("reply");
     assert!(matches!(r.status, Status::Error));
 
-    client.shutdown().expect("shutdown");
+    // The shutdown ack carries the default set's slot, not 0.
+    let slot = client.stats().expect("stats").slot;
+    assert!(slot > 0, "six admission requests advanced the set");
+    let bye = client.shutdown().expect("shutdown");
+    assert!(matches!(bye.status, Status::ShuttingDown));
+    assert_eq!(bye.slot, slot, "shutdown ack reports the set's slot");
+    assert_eq!(bye.set.as_deref(), Some("default"));
     assert!(child.wait().expect("exit").success());
     std::fs::remove_file(&socket).ok();
 }
@@ -755,4 +761,95 @@ fn two_sets_have_byte_deterministic_decision_logs() {
             .verify()
             .expect("trace window-verifies");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The single-threaded event loop.
+// ---------------------------------------------------------------------------
+
+/// `admitd` serves every connection, a subscriber included, from one
+/// thread: no acceptor, reader or writer threads.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_serves_on_one_thread() {
+    let (socket, _) = scratch("onethread");
+    std::fs::remove_file(&socket).ok();
+    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut clients: Vec<DaemonClient> = (0..4).map(|_| connect(&socket)).collect();
+    for c in &mut clients {
+        c.stats().expect("connection is served");
+    }
+    let mut sub = connect(&socket).subscribe().expect("subscribe");
+    let r = clients[0].join(1_000, 4_000).expect("join");
+    assert!(matches!(r.status, Status::Admitted), "{:?}", r.error);
+    sub.next().expect("the subscriber sees the decision");
+
+    let threads = std::fs::read_dir(format!("/proc/{}/task", child.id()))
+        .expect("read /proc/<pid>/task")
+        .count();
+    assert_eq!(threads, 1, "admitd must serve on exactly one thread");
+
+    clients[1].shutdown().expect("shutdown");
+    assert!(child.wait().expect("exit").success());
+    std::fs::remove_file(&socket).ok();
+}
+
+/// A peer that pipelines requests and never reads its replies must not
+/// delay anyone else: its replies queue in the daemon while other
+/// connections round-trip freely, and they all arrive, in order, once
+/// it reads.
+#[test]
+fn peer_that_never_reads_does_not_delay_others() {
+    let (socket, _) = scratch("noread");
+    std::fs::remove_file(&socket).ok();
+    let mut child = spawn_admitd(&socket, &["--no-trace"]);
+    let mut healthy = connect(&socket);
+    healthy.stats().expect("daemon is up");
+
+    // A thousand stats requests: each reply carries a metrics snapshot,
+    // so together they overflow the socket buffer many times over.
+    const PIPELINED: u64 = 1_000;
+    let mut hog = std::os::unix::net::UnixStream::connect(&socket).expect("connect hog");
+    let mut frames = Vec::new();
+    for nonce in 1..=PIPELINED {
+        let json = serde_json::to_string(&Request::bare(proto::Op::Stats, nonce)).unwrap();
+        proto::push_frame(&mut frames, &json).unwrap();
+    }
+    hog.write_all(&frames).expect("pipeline the requests");
+
+    let started = Instant::now();
+    for i in 0..20 {
+        let r = healthy.join(1_000, 100_000).expect("healthy join");
+        assert!(
+            matches!(r.status, Status::Admitted),
+            "join {i} next to a peer that never reads: {:?}",
+            r.error
+        );
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a peer that never reads delayed another connection by {:?}",
+        started.elapsed()
+    );
+
+    hog.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut bytes = 0;
+    for nonce in 1..=PIPELINED {
+        let frame = proto::read_frame(&mut hog)
+            .expect("queued reply")
+            .expect("reply before close");
+        bytes += frame.len();
+        let reply: Reply = serde_json::from_str(&frame).expect("reply parses");
+        assert_eq!(reply.nonce, nonce, "queued replies arrive in order");
+        assert!(matches!(reply.status, Status::Stats));
+    }
+    assert!(
+        bytes > 1 << 20,
+        "the replies must outgrow any socket buffer"
+    );
+
+    healthy.shutdown().expect("shutdown");
+    assert!(child.wait().expect("exit").success());
+    std::fs::remove_file(&socket).ok();
 }
